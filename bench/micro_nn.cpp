@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the numeric substrate: GEMM kernel
 // variants, the im2col convolution, batch-norm, quantized vs float MLP
-// inference, and the end-to-end per-batch training step.
+// inference, the int8 scan kernels, and the end-to-end per-batch training
+// step.
 #include <benchmark/benchmark.h>
 
 #include "nessa/nn/conv.hpp"
@@ -169,5 +170,30 @@ void BM_QuantizedVsFloat_Int8(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuantizedVsFloat_Int8);
+
+// The selection scan's int8 GEMM shape: a 128-row batch through a
+// 384 -> 192 layer, weights packed once as QuantizedMlp holds them.
+void BM_QuantizedMatmul(benchmark::State& state) {
+  auto qa = quant::quantize_activations(random_matrix(128, 384, 16));
+  auto packed =
+      quant::pack_weights(quant::quantize_symmetric(random_matrix(384, 192, 17)));
+  for (auto _ : state) {
+    auto y = quant::quantized_matmul(qa, packed);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 128 * 384 * 192);
+  state.SetLabel(quant::kernel_isa_name(quant::best_kernel_isa()));
+}
+BENCHMARK(BM_QuantizedMatmul);
+
+void BM_QuantizeActivations(benchmark::State& state) {
+  auto x = random_matrix(128, 384, 18);
+  for (auto _ : state) {
+    auto q = quant::quantize_activations(x);
+    benchmark::DoNotOptimize(q.data.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 128 * 384);
+}
+BENCHMARK(BM_QuantizeActivations);
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "nessa/data/dataset.hpp"
 #include "nessa/quant/qmodel.hpp"
+#include "nessa/util/parallelism.hpp"
 
 namespace nessa::core {
 
@@ -26,10 +27,15 @@ struct QEmbeddings {
 /// Quantized near-storage forward pass over the pooled candidates: what the
 /// FPGA kernel computes each selection round. `pool` holds row indices into
 /// `split`; `scaled` selects the ||penultimate||-scaled embedding variant.
+/// The pool is scored in slices of `batch_size` rows (activations are
+/// quantized per slice); with `parallelism` on, the slices run on the
+/// global thread pool. Each slice writes only its own rows, so the result
+/// is bit-identical for every thread count.
 QEmbeddings compute_q_embeddings(const quant::QuantizedMlp& qmodel,
                                  const data::Split& split,
                                  std::span<const std::size_t> pool,
-                                 bool scaled, std::size_t batch_size);
+                                 bool scaled, std::size_t batch_size,
+                                 util::Parallelism parallelism = {});
 
 /// The model copy living on the selection device, abstracted over kernel
 /// arithmetic. The paper's kernel is the int8-quantized target model
@@ -55,19 +61,21 @@ class SelectionModel {
   [[nodiscard]] virtual double mac_cost_factor() const = 0;
 };
 
-/// Int8 kernel (wraps quant::QuantizedMlp). Throws std::invalid_argument at
+/// Int8 kernel (wraps quant::QuantizedMlp); `parallelism` is handed to
+/// every compute_q_embeddings call. Throws std::invalid_argument at
 /// construction if the target contains layers the int8 MLP kernel cannot
 /// express.
 std::unique_ptr<SelectionModel> make_quantized_selection_model(
-    const nn::Sequential& target);
+    const nn::Sequential& target, util::Parallelism parallelism = {});
 
-/// Float kernel: a deep copy of the target refreshed by weight copy.
+/// Float kernel: a deep copy of the target refreshed by weight copy. It
+/// always scores serially (Sequential::forward is not thread-safe).
 std::unique_ptr<SelectionModel> make_float_selection_model(
     const nn::Sequential& target);
 
 /// Quantized if the architecture allows it, float otherwise.
 std::unique_ptr<SelectionModel> make_selection_model(
-    const nn::Sequential& target);
+    const nn::Sequential& target, util::Parallelism parallelism = {});
 
 /// Rolling per-sample loss statistics for §3.2.2 subset biasing: the most
 /// recent `window` recorded losses per sample, with an infinite mean for

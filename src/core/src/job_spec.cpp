@@ -85,10 +85,11 @@ void check_train(const TrainConfig& t, std::vector<std::string>& errors) {
 }
 
 void check_nessa(const NessaConfig& n, std::vector<std::string>& errors) {
-  if (n.subset_fraction <= 0.0 || n.subset_fraction > 1.0) {
+  // `!(x > 0)` rather than `x <= 0`: NaN fails every comparison.
+  if (!(n.subset_fraction > 0.0) || n.subset_fraction > 1.0) {
     errors.push_back("nessa.subset_fraction: must be in (0, 1]");
   }
-  if (n.min_subset_fraction <= 0.0 ||
+  if (!(n.min_subset_fraction > 0.0) ||
       n.min_subset_fraction > n.subset_fraction) {
     errors.push_back(
         "nessa.min_subset_fraction: must be in (0, subset_fraction]");

@@ -131,7 +131,8 @@ RunResult run_nessa_multi(const PipelineInputs& inputs,
     // ---- distributed near-storage selection --------------------------
     auto emb = compute_q_embeddings(qmodel, eds.train(), pool,
                                     config.scaled_embeddings,
-                                    inputs.train.batch_size);
+                                    inputs.train.batch_size,
+                                    config.parallelism);
     for (std::size_t i = 0; i < pool.size(); ++i) {
       history.record(pool[i], emb.losses[i]);
       last_correct[pool[i]] = emb.correct[i];

@@ -41,7 +41,7 @@ RunResult run_nessa(const PipelineInputs& inputs, const NessaConfig& config,
 
   util::Rng rng(inputs.train.seed);
   auto model = detail::build_target_model(inputs, rng);
-  auto kernel = make_selection_model(model);
+  auto kernel = make_selection_model(model, config.parallelism);
   nn::Sgd sgd(inputs.train.sgd);
   auto schedule = inputs.train.scale_lr_schedule
                       ? nn::StepLrSchedule::paper_scaled(inputs.train.epochs)

@@ -112,7 +112,15 @@ ChunkedScore score_pool(SelectionModel& kernel, const data::Split& split,
   std::vector<float> staged;
   std::vector<std::int32_t> staged_labels;
   std::vector<std::size_t> staged_pos;  // output position per staged row
-  staged.reserve(batch_size * dim);
+  // Rows are scored kStagedBatches whole batches at a time, so a parallel
+  // kernel has batches to spread over the pool. A flush ends on a batch
+  // boundary, so batch composition stays that of the monolithic scan; the
+  // count is fixed (never the thread count), and it bounds staging memory.
+  // flush_rows == 0: the pool is one batch, scored at the end.
+  constexpr std::size_t kStagedBatches = 16;
+  const std::size_t flush_rows =
+      batch_size >= pool.size() ? 0 : kStagedBatches * batch_size;
+  staged.reserve(std::min(kStagedBatches * batch_size, pool.size()) * dim);
   std::vector<std::size_t> local;
 
   const auto flush = [&] {
@@ -157,7 +165,7 @@ ChunkedScore score_pool(SelectionModel& kernel, const data::Split& split,
                   view.samples->features.data() + (offset + 1) * dim);
     staged_labels.push_back(view.samples->labels[offset]);
     staged_pos.push_back(pos);
-    if (staged_pos.size() == batch_size) flush();
+    if (staged_pos.size() == flush_rows) flush();
   }
   flush();
   out.chunk_fetches = chunks.fetches();

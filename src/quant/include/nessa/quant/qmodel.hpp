@@ -61,6 +61,7 @@ class QuantizedMlp {
  private:
   struct QLayer {
     QuantizedTensor weight;  // [in, out], int8
+    PackedWeights packed;    // `weight` laid out for the GEMM kernel
     Tensor bias;             // [out], float
     bool relu_after = false;
   };

@@ -46,8 +46,43 @@ float quantization_error(const Tensor& t, const QuantizedTensor& q);
 /// (dynamic activation quantization, as the FPGA kernel does per batch).
 QuantizedTensor quantize_activations(const Tensor& t);
 
+/// The instruction sets the int8 kernels are built for. kScalar is the
+/// portable reference every other path must match bit for bit; the
+/// dispatcher picks the best one the running CPU supports.
+enum class KernelIsa { kScalar, kSse2, kAvx2 };
+
+/// The kernel set quantize_symmetric / quantized_matmul dispatch to here.
+[[nodiscard]] KernelIsa best_kernel_isa() noexcept;
+[[nodiscard]] bool kernel_isa_supported(KernelIsa isa) noexcept;
+[[nodiscard]] const char* kernel_isa_name(KernelIsa isa) noexcept;
+
+/// Right-hand GEMM operand [k, n] packed once for the int8 kernels: rows
+/// taken in pairs and widened to int16, columns split into 8-column blocks
+/// (an even number of them, so n is padded to a multiple of 16). Block b
+/// holds w[2p + h][8b + c] at data[(b * pairs + p) * 16 + 2c + h]; the odd
+/// row of an odd k and the padding columns are zero.
+struct PackedWeights {
+  std::size_t rows = 0;   ///< k
+  std::size_t cols = 0;   ///< n
+  std::size_t pairs = 0;  ///< ceil(k / 2)
+  float scale = 1.0f;
+  std::vector<std::int16_t> data;
+};
+
+/// Pack a rank-2 int8 tensor for quantized_matmul.
+PackedWeights pack_weights(const QuantizedTensor& w);
+
+/// Symmetric quantization on an explicit kernel set (must be supported).
+QuantizedTensor quantize_symmetric(const Tensor& t, KernelIsa isa);
+
 /// Int8 x int8 -> int32 GEMM with float rescale:
 /// out(mxn) = dequant( qa(mxk) * qb(kxn) ), out_scale = qa.scale * qb.scale.
+/// Products are summed exactly in int32 (for q in [-127, 127], while
+/// k <= 133,144), so every kernel set gives the same bits.
+Tensor quantized_matmul(const QuantizedTensor& qa, const PackedWeights& qb,
+                        KernelIsa isa = best_kernel_isa());
+
+/// Same product with an unpacked right operand (packs it on every call).
 Tensor quantized_matmul(const QuantizedTensor& qa, const QuantizedTensor& qb);
 
 }  // namespace nessa::quant

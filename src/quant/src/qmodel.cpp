@@ -43,6 +43,7 @@ QuantizedMlp QuantizedMlp::from_model(const nn::Sequential& model) {
   for (const auto& [dense, relu_after] : extract_structure(model)) {
     QLayer ql;
     ql.weight = quantize_symmetric(dense->weight());
+    ql.packed = pack_weights(ql.weight);
     ql.bias = dense->bias();
     ql.relu_after = relu_after;
     q.layers_.push_back(std::move(ql));
@@ -60,6 +61,7 @@ void QuantizedMlp::refresh_from(const nn::Sequential& model) {
       throw std::invalid_argument("QuantizedMlp::refresh_from: shape mismatch");
     }
     layers_[i].weight = quantize_symmetric(structure[i].first->weight());
+    layers_[i].packed = pack_weights(layers_[i].weight);
     layers_[i].bias = structure[i].first->bias();
     layers_[i].relu_after = structure[i].second;
   }
@@ -80,7 +82,7 @@ QuantizedMlp::ForwardResult QuantizedMlp::forward_with_penultimate(
     if (i + 1 == layers_.size()) out.penultimate = x;
     const QLayer& l = layers_[i];
     QuantizedTensor qx = quantize_activations(x);
-    Tensor y = quantized_matmul(qx, l.weight);
+    Tensor y = quantized_matmul(qx, l.packed);
     tensor::add_row_vector(y, l.bias);
     if (l.relu_after) y = tensor::relu(y);
     x = std::move(y);

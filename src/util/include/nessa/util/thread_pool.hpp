@@ -55,6 +55,10 @@ class ThreadPool {
   /// which thread runs a chunk — so callers may index per-chunk result
   /// slots by (lo - begin) / grain and combine them in chunk order for a
   /// bit-deterministic reduction.
+  ///
+  /// If `fn` throws, chunks not yet started are skipped, the call still
+  /// waits for every chunk in flight, and the first exception is rethrown
+  /// on the calling thread.
   void parallel_for_chunked(
       std::size_t begin, std::size_t end, std::size_t grain,
       const std::function<void(std::size_t, std::size_t)>& fn);

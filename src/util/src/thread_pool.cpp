@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <latch>
 #include <memory>
 
@@ -88,6 +89,9 @@ void ThreadPool::parallel_for_chunked(
     std::latch done;
     std::size_t begin = 0, end = 0, grain = 1, nchunks = 0;
     const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+    std::atomic<bool> failed{false};
+    std::mutex error_mutex;
+    std::exception_ptr error;  // the first exception any chunk threw
   };
   auto ctl = std::make_shared<Control>(static_cast<std::ptrdiff_t>(nchunks));
   ctl->begin = begin;
@@ -98,15 +102,27 @@ void ThreadPool::parallel_for_chunked(
 
   // Helpers drain chunks from the shared counter. `fn` stays alive until
   // the latch releases the caller, and a helper only dereferences it after
-  // claiming a chunk — which implies the latch has not released yet.
+  // claiming a chunk — which implies the latch has not released yet. Every
+  // claimed chunk counts down even when `fn` throws: the first exception is
+  // kept for the caller, the chunks still unclaimed are skipped, and no
+  // exception escapes a worker (which would terminate) or unwinds the
+  // caller past the latch while helpers still hold `fn`.
   auto work = [ctl] {
     ParallelRegionGuard guard;
     for (;;) {
       const std::size_t c = ctl->next.fetch_add(1, std::memory_order_relaxed);
       if (c >= ctl->nchunks) return;
-      const std::size_t lo = ctl->begin + c * ctl->grain;
-      const std::size_t hi = std::min(ctl->end, lo + ctl->grain);
-      (*ctl->fn)(lo, hi);
+      if (!ctl->failed.load(std::memory_order_relaxed)) {
+        const std::size_t lo = ctl->begin + c * ctl->grain;
+        const std::size_t hi = std::min(ctl->end, lo + ctl->grain);
+        try {
+          (*ctl->fn)(lo, hi);
+        } catch (...) {
+          std::lock_guard lock(ctl->error_mutex);
+          if (!ctl->error) ctl->error = std::current_exception();
+          ctl->failed.store(true, std::memory_order_relaxed);
+        }
+      }
       ctl->done.count_down();
     }
   };
@@ -123,6 +139,7 @@ void ThreadPool::parallel_for_chunked(
   }
   work();  // the caller claims chunks too
   ctl->done.wait();
+  if (ctl->error) std::rethrow_exception(ctl->error);
 }
 
 bool ThreadPool::in_parallel_region() noexcept { return tl_in_parallel_region; }

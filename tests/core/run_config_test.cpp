@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "nessa/core/run.hpp"
 #include "nessa/data/synthetic.hpp"
@@ -43,6 +44,19 @@ TEST(RunConfig, ValidateReturnsEveryError) {
   EXPECT_TRUE(any_error_mentions(errors, "nessa.subset_fraction"));
   EXPECT_TRUE(any_error_mentions(errors, "nessa.selection_interval"));
   EXPECT_TRUE(any_error_mentions(errors, "pipeline_epochs"));
+}
+
+TEST(RunConfig, ValidateRejectsNanFractions) {
+  // NaN fails every comparison, so `x <= 0 || x > 1` lets it through.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RunConfig fraction;
+  fraction.nessa.subset_fraction = nan;
+  EXPECT_TRUE(
+      any_error_mentions(fraction.validate(), "nessa.subset_fraction"));
+  RunConfig min_fraction;
+  min_fraction.nessa.min_subset_fraction = nan;
+  EXPECT_TRUE(any_error_mentions(min_fraction.validate(),
+                                 "nessa.min_subset_fraction"));
 }
 
 TEST(RunConfig, ValidateOrThrowListsAllErrors) {

@@ -223,6 +223,16 @@ struct SweepParam {
   GreedyKind greedy;
 };
 
+// Without this gtest names each case by dumping the struct's bytes, padding
+// included, so the names carry stack garbage and change from run to run.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  const char* greedy = p.greedy == GreedyKind::kNaive  ? "naive"
+                       : p.greedy == GreedyKind::kLazy ? "lazy"
+                                                       : "stochastic";
+  *os << "per_class=" << (p.per_class ? "true" : "false")
+      << " quota=" << p.quota << " greedy=" << greedy;
+}
+
 class DriverSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(DriverSweep, BudgetAndDistinctness) {

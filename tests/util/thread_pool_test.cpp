@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -135,6 +138,83 @@ TEST(ThreadPool, ParallelForChunkedNestedRunsInline) {
   });
   EXPECT_EQ(inner_total.load(), 40);
   EXPECT_TRUE(saw_region.load());
+}
+
+/// Spin until `flag` is set (bounded, so a broken pool fails instead of
+/// hanging the suite).
+void wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(ThreadPool, ParallelForChunkedRethrowsHelperException) {
+  // Two chunks on a two-thread pool: the caller holds its chunk until the
+  // helper has thrown from the other one. The exception must reach the
+  // caller instead of escaping the worker thread (std::terminate).
+  ThreadPool pool(2);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> helper_threw{false};
+  try {
+    pool.parallel_for_chunked(0, 2, 1, [&](std::size_t, std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        wait_for(helper_threw);
+        return;
+      }
+      helper_threw = true;
+      throw std::runtime_error("helper chunk");
+    });
+    FAIL() << "expected the helper's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "helper chunk");
+  }
+  EXPECT_TRUE(helper_threw.load());
+  // The pool stays usable afterwards.
+  std::atomic<int> count{0};
+  pool.parallel_for_chunked(0, 8, 1,
+                            [&](std::size_t, std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 8);
+}
+
+TEST(ThreadPool, ParallelForChunkedCallerExceptionWaitsForHelpers) {
+  // The caller's own chunk throws while a helper is still inside its chunk.
+  // The call must not unwind until the helper is done with `fn` and the
+  // state it captures.
+  ThreadPool pool(2);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> helper_started{false};
+  std::atomic<bool> helper_finished{false};
+  EXPECT_THROW(
+      pool.parallel_for_chunked(0, 2, 1,
+                                [&](std::size_t, std::size_t) {
+                                  if (std::this_thread::get_id() == caller) {
+                                    wait_for(helper_started);
+                                    throw std::logic_error("caller chunk");
+                                  }
+                                  helper_started = true;
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(50));
+                                  helper_finished = true;
+                                }),
+      std::logic_error);
+  EXPECT_TRUE(helper_finished.load());
+}
+
+TEST(ThreadPool, ParallelForChunkedSkipsChunksAfterFailure) {
+  // Inline (one thread): the first throwing chunk ends the loop.
+  ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.parallel_for_chunked(0, 10, 1,
+                                         [&](std::size_t lo, std::size_t) {
+                                           ++ran;
+                                           if (lo == 3) {
+                                             throw std::runtime_error("x");
+                                           }
+                                         }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 4);
 }
 
 }  // namespace
