@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the numeric substrate: GEMM kernel
 // variants, the im2col convolution, batch-norm, quantized vs float MLP
-// inference, the int8 scan kernels, and the end-to-end per-batch training
-// step.
+// inference, the int8 scan kernels, the float GEMMs of the workload MLP,
+// and the end-to-end per-batch training step.
 #include <benchmark/benchmark.h>
 
 #include "nessa/nn/conv.hpp"
@@ -9,6 +9,7 @@
 #include "nessa/nn/optimizer.hpp"
 #include "nessa/quant/qmodel.hpp"
 #include "nessa/tensor/ops.hpp"
+#include "nessa/util/cpu_isa.hpp"
 #include "nessa/util/rng.hpp"
 
 using namespace nessa;
@@ -128,6 +129,74 @@ void BM_MlpTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpTrainStep);
 
+// One SGD step of the NeSSA ImageNet-100 substrate model (74 -> 384 -> 192
+// -> 100 ReLU MLP) on a batch of 128, as core::train_one_epoch runs it.
+void BM_DenseTrainStep(benchmark::State& state) {
+  util::Rng rng(19);
+  auto model = nn::Sequential::mlp({74, 384, 192, 100}, rng);
+  nn::Sgd sgd;
+  nn::SoftmaxCrossEntropy loss_fn;
+  auto x = random_matrix(128, 74, 20);
+  std::vector<nn::Label> y(128);
+  for (std::size_t i = 0; i < 128; ++i) {
+    y[i] = static_cast<nn::Label>(i % 100);
+  }
+  for (auto _ : state) {
+    model.zero_grads();
+    auto loss = loss_fn.forward(model.forward(x, true), y);
+    model.backward(loss_fn.backward(loss, y));
+    sgd.step(model.params());
+    benchmark::DoNotOptimize(loss.mean_loss);
+  }
+  state.SetItemsProcessed(state.iterations() * 128);
+}
+BENCHMARK(BM_DenseTrainStep);
+
+/// A batch-128 activation matrix after ReLU: about half its entries zero.
+tensor::Tensor relu_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
+  return tensor::relu(random_matrix(r, c, seed));
+}
+
+// The three float GEMMs of the 384 -> 192 layer at batch 128 (128 x 384 x
+// 192 multiply-adds each): forward H W, weight gradient H^T G, input
+// gradient G W^T. Arg 0 runs on the calling thread, 1 on the pool.
+void BM_FloatGemmAB(benchmark::State& state) {
+  const bool parallel = state.range(0) != 0;
+  auto h = relu_matrix(128, 384, 21);
+  auto w = random_matrix(384, 192, 22);
+  for (auto _ : state) {
+    auto c = tensor::matmul(h, w, parallel);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 128 * 384 * 192);
+  state.SetLabel(util::kernel_isa_name(util::best_kernel_isa()));
+}
+BENCHMARK(BM_FloatGemmAB)->Arg(0)->Arg(1);
+
+void BM_FloatGemmAtB(benchmark::State& state) {
+  const bool parallel = state.range(0) != 0;
+  auto h = relu_matrix(128, 384, 23);
+  auto g = random_matrix(128, 192, 24);
+  for (auto _ : state) {
+    auto c = tensor::matmul_at_b(h, g, parallel);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 128 * 384 * 192);
+}
+BENCHMARK(BM_FloatGemmAtB)->Arg(0)->Arg(1);
+
+void BM_FloatGemmABt(benchmark::State& state) {
+  const bool parallel = state.range(0) != 0;
+  auto g = random_matrix(128, 192, 25);
+  auto w = random_matrix(384, 192, 26);
+  for (auto _ : state) {
+    auto c = tensor::matmul_a_bt(g, w, parallel);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 128 * 384 * 192);
+}
+BENCHMARK(BM_FloatGemmABt)->Arg(0)->Arg(1);
+
 void BM_MiniResnetTrainStep(benchmark::State& state) {
   util::Rng rng(12);
   auto model = nn::build_mini_resnet({3, 8, 8}, 8, 10, rng);
@@ -182,7 +251,7 @@ void BM_QuantizedMatmul(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * 128 * 384 * 192);
-  state.SetLabel(quant::kernel_isa_name(quant::best_kernel_isa()));
+  state.SetLabel(util::kernel_isa_name(util::best_kernel_isa()));
 }
 BENCHMARK(BM_QuantizedMatmul);
 

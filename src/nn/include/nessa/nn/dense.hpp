@@ -12,6 +12,7 @@ class Dense final : public Layer {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string name() const override { return "dense"; }

@@ -37,6 +37,13 @@ class Layer {
   /// accumulates parameter gradients (callers zero_grads() per step).
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// Backward pass for a model's first layer, whose dL/d(input) nobody
+  /// reads: accumulates the parameter gradients backward() would. Layers
+  /// that can skip the input gradient override this.
+  virtual void backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
+
   /// Parameter/gradient pairs (empty for stateless layers).
   virtual std::vector<ParamRef> params() { return {}; }
 

@@ -28,8 +28,9 @@ class Sequential {
   /// Forward through all layers. `train` toggles dropout etc.
   Tensor forward(const Tensor& input, bool train);
 
-  /// Backward through all layers; accumulates parameter gradients.
-  Tensor backward(const Tensor& grad_output);
+  /// Backward through all layers; accumulates parameter gradients. The
+  /// gradient with respect to the model input is not computed.
+  void backward(const Tensor& grad_output);
 
   /// All parameter/grad pairs, layer order.
   std::vector<ParamRef> params();

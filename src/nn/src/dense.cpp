@@ -21,9 +21,13 @@ Tensor Dense::forward(const Tensor& input, bool /*train*/) {
 
 Tensor Dense::backward(const Tensor& grad_output) {
   // dW += x^T g ; db += column sums of g ; dx = g W^T.
+  backward_params(grad_output);
+  return tensor::matmul_a_bt(grad_output, weight_);
+}
+
+void Dense::backward_params(const Tensor& grad_output) {
   grad_weight_ += tensor::matmul_at_b(cached_input_, grad_output);
   grad_bias_ += tensor::column_sums(grad_output);
-  return tensor::matmul_a_bt(grad_output, weight_);
 }
 
 std::vector<ParamRef> Dense::params() {

@@ -19,12 +19,13 @@ Tensor Sequential::forward(const Tensor& input, bool train) {
   return x;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
+void Sequential::backward(const Tensor& grad_output) {
+  if (layers_.empty()) return;
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    g = layers_[i]->backward(g);
   }
-  return g;
+  layers_.front()->backward_params(g);
 }
 
 std::vector<ParamRef> Sequential::params() {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "nessa/tensor/tensor.hpp"
+#include "nessa/util/cpu_isa.hpp"
 
 namespace nessa::quant {
 
@@ -46,16 +47,6 @@ float quantization_error(const Tensor& t, const QuantizedTensor& q);
 /// (dynamic activation quantization, as the FPGA kernel does per batch).
 QuantizedTensor quantize_activations(const Tensor& t);
 
-/// The instruction sets the int8 kernels are built for. kScalar is the
-/// portable reference every other path must match bit for bit; the
-/// dispatcher picks the best one the running CPU supports.
-enum class KernelIsa { kScalar, kSse2, kAvx2 };
-
-/// The kernel set quantize_symmetric / quantized_matmul dispatch to here.
-[[nodiscard]] KernelIsa best_kernel_isa() noexcept;
-[[nodiscard]] bool kernel_isa_supported(KernelIsa isa) noexcept;
-[[nodiscard]] const char* kernel_isa_name(KernelIsa isa) noexcept;
-
 /// Right-hand GEMM operand [k, n] packed once for the int8 kernels: rows
 /// taken in pairs and widened to int16, columns split into 8-column blocks
 /// (an even number of them, so n is padded to a multiple of 16). Block b
@@ -73,14 +64,15 @@ struct PackedWeights {
 PackedWeights pack_weights(const QuantizedTensor& w);
 
 /// Symmetric quantization on an explicit kernel set (must be supported).
-QuantizedTensor quantize_symmetric(const Tensor& t, KernelIsa isa);
+/// The int8 kernels exist for SSE2 and AVX2; an AVX-only CPU runs SSE2.
+QuantizedTensor quantize_symmetric(const Tensor& t, util::KernelIsa isa);
 
 /// Int8 x int8 -> int32 GEMM with float rescale:
 /// out(mxn) = dequant( qa(mxk) * qb(kxn) ), out_scale = qa.scale * qb.scale.
 /// Products are summed exactly in int32 (for q in [-127, 127], while
 /// k <= 133,144), so every kernel set gives the same bits.
 Tensor quantized_matmul(const QuantizedTensor& qa, const PackedWeights& qb,
-                        KernelIsa isa = best_kernel_isa());
+                        util::KernelIsa isa = util::best_kernel_isa());
 
 /// Same product with an unpacked right operand (packs it on every call).
 Tensor quantized_matmul(const QuantizedTensor& qa, const QuantizedTensor& qb);

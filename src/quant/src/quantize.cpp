@@ -16,6 +16,8 @@
 
 namespace nessa::quant {
 
+using util::KernelIsa;
+
 namespace {
 
 // ---- quantization ----------------------------------------------------------
@@ -274,9 +276,9 @@ struct Kernels {
 };
 
 Kernels kernels(KernelIsa isa) {
-  if (!kernel_isa_supported(isa)) {
+  if (!util::kernel_isa_supported(isa)) {
     throw std::invalid_argument(std::string("quant: kernel set ") +
-                                kernel_isa_name(isa) +
+                                util::kernel_isa_name(isa) +
                                 " is not supported on this CPU");
   }
   switch (isa) {
@@ -286,6 +288,7 @@ Kernels kernels(KernelIsa isa) {
 #endif
 #if defined(__SSE2__)
     case KernelIsa::kSse2:
+    case KernelIsa::kAvx:
       return {max_abs_sse2, quantize_sse2, 1, tile_sse2};
 #endif
     default:
@@ -295,51 +298,8 @@ Kernels kernels(KernelIsa isa) {
 
 }  // namespace
 
-bool kernel_isa_supported(KernelIsa isa) noexcept {
-  switch (isa) {
-    case KernelIsa::kScalar:
-      return true;
-    case KernelIsa::kSse2:
-#if defined(__SSE2__)
-      return true;
-#else
-      return false;
-#endif
-    case KernelIsa::kAvx2: {
-#if defined(NESSA_AVX2_DISPATCH)
-      static const bool has_avx2 = [] {
-        __builtin_cpu_init();
-        return __builtin_cpu_supports("avx2") != 0;
-      }();
-      return has_avx2;
-#else
-      return false;
-#endif
-    }
-  }
-  return false;
-}
-
-KernelIsa best_kernel_isa() noexcept {
-  static const KernelIsa best = kernel_isa_supported(KernelIsa::kAvx2)
-                                    ? KernelIsa::kAvx2
-                                : kernel_isa_supported(KernelIsa::kSse2)
-                                    ? KernelIsa::kSse2
-                                    : KernelIsa::kScalar;
-  return best;
-}
-
-const char* kernel_isa_name(KernelIsa isa) noexcept {
-  switch (isa) {
-    case KernelIsa::kScalar: return "scalar";
-    case KernelIsa::kSse2: return "sse2";
-    case KernelIsa::kAvx2: return "avx2";
-  }
-  return "unknown";
-}
-
 QuantizedTensor quantize_symmetric(const Tensor& t) {
-  return quantize_symmetric(t, best_kernel_isa());
+  return quantize_symmetric(t, util::best_kernel_isa());
 }
 
 QuantizedTensor quantize_symmetric(const Tensor& t, KernelIsa isa) {

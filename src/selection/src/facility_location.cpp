@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "nessa/tensor/ops.hpp"
+#include "nessa/util/cpu_isa.hpp"
 #include "nessa/util/parallel_reduce.hpp"
 #include "nessa/util/thread_pool.hpp"
 
@@ -96,10 +97,7 @@ __attribute__((target("avx"))) double clamped_delta_sum_avx(
   return finish_lanes(lane, srow, cov, i, hi);
 }
 
-const bool kHasAvx = [] {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx") != 0;
-}();
+const bool kHasAvx = util::kernel_isa_supported(util::KernelIsa::kAvx);
 #endif
 
 double clamped_delta_sum(const float* srow, const float* cov, const float* pf,

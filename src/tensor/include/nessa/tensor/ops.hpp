@@ -11,18 +11,28 @@
 #include <span>
 
 #include "nessa/tensor/tensor.hpp"
+#include "nessa/util/cpu_isa.hpp"
 
 namespace nessa::tensor {
 
 /// out = A(mxk) * B(kxn). Allocates the output.
-Tensor matmul(const Tensor& a, const Tensor& b, bool parallel = true);
+///
+/// The three GEMMs run on the widest kernel set the CPU supports (AVX, else
+/// the portable scalar kernels); `isa` picks one explicitly and must be
+/// supported. Every kernel set and every thread count gives the same bits:
+/// each output element sums its products in one fixed order. matmul and
+/// matmul_at_b skip zero A terms, so a zero never multiplies an inf or NaN.
+Tensor matmul(const Tensor& a, const Tensor& b, bool parallel = true,
+              util::KernelIsa isa = util::best_kernel_isa());
 
 /// out = A^T(mxk->kxm as stored mxk) * B(mxn) -> (k x n).
 /// I.e. computes A.transpose() * B without materializing the transpose.
-Tensor matmul_at_b(const Tensor& a, const Tensor& b, bool parallel = true);
+Tensor matmul_at_b(const Tensor& a, const Tensor& b, bool parallel = true,
+                   util::KernelIsa isa = util::best_kernel_isa());
 
 /// out = A(mxk) * B^T where B is (n x k) -> (m x n).
-Tensor matmul_a_bt(const Tensor& a, const Tensor& b, bool parallel = true);
+Tensor matmul_a_bt(const Tensor& a, const Tensor& b, bool parallel = true,
+                   util::KernelIsa isa = util::best_kernel_isa());
 
 /// Naive triple-loop reference GEMM (for tests/benchmarks).
 Tensor matmul_naive(const Tensor& a, const Tensor& b);

@@ -2,17 +2,30 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "nessa/util/thread_pool.hpp"
 
+#if defined(__GNUC__) && defined(__x86_64__)
+#include <immintrin.h>
+#define NESSA_AVX_DISPATCH 1
+#endif
+
 namespace nessa::tensor {
+
+using util::KernelIsa;
 
 namespace {
 
 constexpr std::size_t kBlock = 64;
-constexpr std::size_t kParallelThresholdFlops = 1u << 22;  // ~4 MFLOP
+/// Multiply-adds below which a GEMM stays on the calling thread: every
+/// batch-128 GEMM of the workload MLPs (128 x 100 x 192 = 2.4M and up) runs
+/// on the pool.
+constexpr std::size_t kParallelThresholdFlops = 1u << 20;
 /// B-row tile for the A*B^T kernels: 32 rows of up-to-kBlock floats stay
 /// resident in L1 while one A row streams against them.
 constexpr std::size_t kRowTile = 32;
@@ -86,11 +99,257 @@ void gemm_abt_rows(const float* a, const float* b, float* c, std::size_t r0,
   }
 }
 
+/// A^T*B kernel for output rows [r0, r1): C row p = sum over i of
+/// A[i][p] * B row i, in increasing i.
+void gemm_atb_rows(const float* a, const float* b, float* c, std::size_t r0,
+                   std::size_t r1, std::size_t m, std::size_t k,
+                   std::size_t n) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    const float* brow = b + i * n;
+    for (std::size_t p = r0; p < r1; ++p) {
+      const float av = arow[p];
+      if (av == 0.0f) continue;
+      float* crow = c + p * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// ---- AVX kernels -----------------------------------------------------------
+//
+// Each reproduces the scalar kernel above bit for bit. An output element
+// sees the same products, each rounded by its own multiply (no FMA), added
+// in the same order to an accumulator that starts at +0; only which
+// elements share a register changes. matmul and matmul_at_b first gather
+// an output row's nonzero A terms, so a ReLU zero is skipped exactly as the
+// scalar `if (av == 0.0f) continue` skips it (a zero never multiplies an
+// inf or NaN), and the inner loop has no data-dependent branch.
+// matmul_a_bt keeps dot_lanes's eight lanes in one register per element and
+// reduces them with dot_lanes's pairwise tree.
+
+#if defined(NESSA_AVX_DISPATCH)
+
+/// One nonzero A term of an output row: its multiplier and B row.
+struct Term {
+  const float* brow;
+  float av;
+};
+
+/// crow[j, j + 8 * NV) = sum over terms of av * brow[j, ...), all NV
+/// vectors held in registers across the term list.
+template <std::size_t NV>
+__attribute__((target("avx"))) inline void axpy_tile_avx(
+    const Term* terms, std::size_t count, std::size_t j, float* crow) {
+  __m256 acc[NV];
+  for (auto& v : acc) v = _mm256_setzero_ps();
+  for (std::size_t t = 0; t < count; ++t) {
+    const __m256 av = _mm256_set1_ps(terms[t].av);
+    const float* brow = terms[t].brow + j;
+    for (std::size_t v = 0; v < NV; ++v) {
+      acc[v] = _mm256_add_ps(acc[v],
+                             _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8 * v)));
+    }
+  }
+  for (std::size_t v = 0; v < NV; ++v) {
+    _mm256_storeu_ps(crow + j + 8 * v, acc[v]);
+  }
+}
+
+/// The last n % 8 columns, through masked loads and stores.
+__attribute__((target("avx"))) void axpy_tail_avx(const Term* terms,
+                                                  std::size_t count,
+                                                  std::size_t j,
+                                                  std::size_t cols,
+                                                  float* crow) {
+  static constexpr std::int32_t kMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                             0,  0,  0,  0,  0,  0,  0,  0};
+  const __m256i mask = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kMask + 8 - cols));
+  __m256 acc = _mm256_setzero_ps();
+  for (std::size_t t = 0; t < count; ++t) {
+    acc = _mm256_add_ps(
+        acc, _mm256_mul_ps(_mm256_set1_ps(terms[t].av),
+                           _mm256_maskload_ps(terms[t].brow + j, mask)));
+  }
+  _mm256_maskstore_ps(crow + j, mask, acc);
+}
+
+/// One output row of n columns from its term list.
+__attribute__((target("avx"))) void axpy_row_avx(const Term* terms,
+                                                 std::size_t count,
+                                                 std::size_t n, float* crow) {
+  std::size_t j = 0;
+  for (; j + 64 <= n; j += 64) axpy_tile_avx<8>(terms, count, j, crow);
+  switch ((n - j) / 8) {
+    case 7: axpy_tile_avx<7>(terms, count, j, crow); break;
+    case 6: axpy_tile_avx<6>(terms, count, j, crow); break;
+    case 5: axpy_tile_avx<5>(terms, count, j, crow); break;
+    case 4: axpy_tile_avx<4>(terms, count, j, crow); break;
+    case 3: axpy_tile_avx<3>(terms, count, j, crow); break;
+    case 2: axpy_tile_avx<2>(terms, count, j, crow); break;
+    case 1: axpy_tile_avx<1>(terms, count, j, crow); break;
+    default: break;
+  }
+  j += (n - j) / 8 * 8;
+  if (j < n) axpy_tail_avx(terms, count, j, n - j, crow);
+}
+
+__attribute__((target("avx"))) void gemm_rows_avx(
+    const float* a, const float* b, float* c, std::size_t r0, std::size_t r1,
+    std::size_t k, std::size_t n) {
+  std::vector<Term> terms(k);
+  for (std::size_t i = r0; i < r1; ++i) {
+    const float* arow = a + i * k;
+    std::size_t count = 0;
+    for (std::size_t p = 0; p < k; ++p) {
+      terms[count] = {b + p * n, arow[p]};
+      count += arow[p] != 0.0f ? 1 : 0;  // zeros dropped, branch-free
+    }
+    axpy_row_avx(terms.data(), count, n, c + i * n);
+  }
+}
+
+/// Output rows per term-gathering pass of gemm_atb_rows_avx: their A
+/// values sit side by side in every A row (one cache line for 16).
+constexpr std::size_t kAtbRowGroup = 16;
+
+__attribute__((target("avx"))) void gemm_atb_rows_avx(
+    const float* a, const float* b, float* c, std::size_t r0, std::size_t r1,
+    std::size_t m, std::size_t k, std::size_t n) {
+  std::vector<Term> terms(kAtbRowGroup * m);
+  for (std::size_t p0 = r0; p0 < r1; p0 += kAtbRowGroup) {
+    const std::size_t rows = std::min(kAtbRowGroup, r1 - p0);
+    std::size_t count[kAtbRowGroup] = {};
+    for (std::size_t i = 0; i < m; ++i) {
+      const float* arow = a + i * k + p0;
+      for (std::size_t q = 0; q < rows; ++q) {
+        const float av = arow[q];
+        terms[q * m + count[q]] = {b + i * n, av};
+        count[q] += av != 0.0f ? 1 : 0;
+      }
+    }
+    for (std::size_t q = 0; q < rows; ++q) {
+      axpy_row_avx(terms.data() + q * m, count[q], n, c + (p0 + q) * n);
+    }
+  }
+}
+
+/// dot_lanes's reduction for four lane vectors at once:
+/// out[q] = ((v_q[0] + v_q[1]) + (v_q[2] + v_q[3])) +
+///          ((v_q[4] + v_q[5]) + (v_q[6] + v_q[7])),
+/// every add keeping the lower lane as its first operand.
+__attribute__((target("avx"))) inline __m128 lane_tree4(__m256 v0, __m256 v1,
+                                                        __m256 v2, __m256 v3) {
+  constexpr int kEven = _MM_SHUFFLE(2, 0, 2, 0);
+  constexpr int kOdd = _MM_SHUFFLE(3, 1, 3, 1);
+  // [v0 01, v0 23, v1 01, v1 23 | v0 45, v0 67, v1 45, v1 67]
+  const __m256 s01 = _mm256_add_ps(_mm256_shuffle_ps(v0, v1, kEven),
+                                   _mm256_shuffle_ps(v0, v1, kOdd));
+  const __m256 s23 = _mm256_add_ps(_mm256_shuffle_ps(v2, v3, kEven),
+                                   _mm256_shuffle_ps(v2, v3, kOdd));
+  // [v0 0123, v1 0123, v2 0123, v3 0123 | the same for lanes 4567]
+  const __m256 q = _mm256_add_ps(_mm256_shuffle_ps(s01, s23, kEven),
+                                 _mm256_shuffle_ps(s01, s23, kOdd));
+  return _mm_add_ps(_mm256_castps256_ps128(q), _mm256_extractf128_ps(q, 1));
+}
+
+/// C[i, i + R) x [j, j + cols) = dot_lanes of A rows against B rows
+/// bj[0..4) (cols <= 4; the unused pointers repeat a valid row).
+template <std::size_t R>
+__attribute__((target("avx"))) inline void dot_tile_avx(
+    const float* arow, const float* const* bj, std::size_t k, float* crow,
+    std::size_t ldc, std::size_t cols) {
+  __m256 acc[R][4];
+  for (auto& row : acc) {
+    for (auto& v : row) v = _mm256_setzero_ps();
+  }
+  std::size_t p = 0;
+  for (; p + 8 <= k; p += 8) {
+    __m256 av[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      av[r] = _mm256_loadu_ps(arow + r * k + p);
+    }
+    for (std::size_t q = 0; q < 4; ++q) {
+      const __m256 bv = _mm256_loadu_ps(bj[q] + p);
+      for (std::size_t r = 0; r < R; ++r) {
+        acc[r][q] = _mm256_add_ps(acc[r][q], _mm256_mul_ps(av[r], bv));
+      }
+    }
+  }
+  __m128 tail[R];
+  for (auto& t : tail) t = _mm_setzero_ps();
+  for (; p < k; ++p) {
+    const __m128 bv = _mm_setr_ps(bj[0][p], bj[1][p], bj[2][p], bj[3][p]);
+    for (std::size_t r = 0; r < R; ++r) {
+      tail[r] = _mm_add_ps(tail[r],
+                           _mm_mul_ps(_mm_set1_ps(arow[r * k + p]), bv));
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    const __m128 out = _mm_add_ps(
+        lane_tree4(acc[r][0], acc[r][1], acc[r][2], acc[r][3]), tail[r]);
+    if (cols == 4) {
+      _mm_storeu_ps(crow + r * ldc, out);
+    } else {
+      alignas(16) float lanes[4];
+      _mm_store_ps(lanes, out);
+      std::copy_n(lanes, cols, crow + r * ldc);
+    }
+  }
+}
+
+__attribute__((target("avx"))) void gemm_abt_rows_avx(
+    const float* a, const float* b, float* c, std::size_t r0, std::size_t r1,
+    std::size_t k, std::size_t n) {
+  for (std::size_t j0 = 0; j0 < n; j0 += kRowTile) {
+    const std::size_t j1 = std::min(n, j0 + kRowTile);
+    for (std::size_t j = j0; j < j1; j += 4) {
+      const std::size_t cols = std::min<std::size_t>(4, j1 - j);
+      const float* bj[4];
+      for (std::size_t q = 0; q < 4; ++q) {
+        bj[q] = b + (j + std::min(q, cols - 1)) * k;
+      }
+      std::size_t i = r0;
+      for (; i + 2 <= r1; i += 2) {
+        dot_tile_avx<2>(a + i * k, bj, k, c + i * n + j, n, cols);
+      }
+      if (i < r1) dot_tile_avx<1>(a + i * k, bj, k, c + i * n + j, n, cols);
+    }
+  }
+}
+
+#endif  // NESSA_AVX_DISPATCH
+
+/// The float GEMM kernels for one instruction set.
+struct GemmKernels {
+  void (*ab)(const float*, const float*, float*, std::size_t, std::size_t,
+             std::size_t, std::size_t);
+  void (*atb)(const float*, const float*, float*, std::size_t, std::size_t,
+              std::size_t, std::size_t, std::size_t);
+  void (*abt)(const float*, const float*, float*, std::size_t, std::size_t,
+              std::size_t, std::size_t);
+};
+
+GemmKernels gemm_kernels(KernelIsa isa) {
+  if (!util::kernel_isa_supported(isa)) {
+    throw std::invalid_argument(std::string("tensor: kernel set ") +
+                                util::kernel_isa_name(isa) +
+                                " is not supported on this CPU");
+  }
+#if defined(NESSA_AVX_DISPATCH)
+  if (isa >= KernelIsa::kAvx) {
+    return {gemm_rows_avx, gemm_atb_rows_avx, gemm_abt_rows_avx};
+  }
+#endif
+  return {gemm_rows, gemm_atb_rows, gemm_abt_rows};
+}
+
 void run_row_blocks(std::size_t m, std::size_t flops, bool parallel,
                     const std::function<void(std::size_t, std::size_t)>& fn) {
   auto& pool = util::ThreadPool::global();
   if (!parallel || flops < kParallelThresholdFlops || pool.size() <= 1 ||
-      m < 2) {
+      m < 2 || util::ThreadPool::in_parallel_region()) {
     fn(0, m);
     return;
   }
@@ -104,19 +363,22 @@ void run_row_blocks(std::size_t m, std::size_t flops, bool parallel,
 
 }  // namespace
 
-Tensor matmul(const Tensor& a, const Tensor& b, bool parallel) {
+Tensor matmul(const Tensor& a, const Tensor& b, bool parallel,
+              KernelIsa isa) {
   require_rank2(a, "matmul");
   require_rank2(b, "matmul");
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   if (b.rows() != k) throw std::invalid_argument("matmul: inner dim mismatch");
+  const auto kernel = gemm_kernels(isa).ab;
   Tensor c({m, n});
   run_row_blocks(m, m * n * k, parallel, [&](std::size_t r0, std::size_t r1) {
-    gemm_rows(a.data(), b.data(), c.data(), r0, r1, k, n);
+    kernel(a.data(), b.data(), c.data(), r0, r1, k, n);
   });
   return c;
 }
 
-Tensor matmul_at_b(const Tensor& a, const Tensor& b, bool parallel) {
+Tensor matmul_at_b(const Tensor& a, const Tensor& b, bool parallel,
+                   KernelIsa isa) {
   require_rank2(a, "matmul_at_b");
   require_rank2(b, "matmul_at_b");
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
@@ -125,32 +387,26 @@ Tensor matmul_at_b(const Tensor& a, const Tensor& b, bool parallel) {
   }
   // C (k x n) = sum over i of outer(A[i,:], B[i,:]). Parallelize over k rows
   // of the output by striding columns of A.
+  const auto kernel = gemm_kernels(isa).atb;
   Tensor c({k, n});
   run_row_blocks(k, m * n * k, parallel, [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* arow = a.data() + i * k;
-      const float* brow = b.data() + i * n;
-      for (std::size_t p = r0; p < r1; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        float* crow = c.data() + p * n;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
+    kernel(a.data(), b.data(), c.data(), r0, r1, m, k, n);
   });
   return c;
 }
 
-Tensor matmul_a_bt(const Tensor& a, const Tensor& b, bool parallel) {
+Tensor matmul_a_bt(const Tensor& a, const Tensor& b, bool parallel,
+                   KernelIsa isa) {
   require_rank2(a, "matmul_a_bt");
   require_rank2(b, "matmul_a_bt");
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   if (b.cols() != k) {
     throw std::invalid_argument("matmul_a_bt: inner dim mismatch");
   }
+  const auto kernel = gemm_kernels(isa).abt;
   Tensor c({m, n});
   run_row_blocks(m, m * n * k, parallel, [&](std::size_t r0, std::size_t r1) {
-    gemm_abt_rows(a.data(), b.data(), c.data(), r0, r1, k, n);
+    kernel(a.data(), b.data(), c.data(), r0, r1, k, n);
   });
   return c;
 }

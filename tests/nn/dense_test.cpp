@@ -70,6 +70,23 @@ TEST(Dense, GradsAccumulateAcrossCalls) {
   EXPECT_FLOAT_EQ(gb[0], 2.0f);
 }
 
+TEST(Dense, BackwardParamsAccumulatesTheSameGradients) {
+  util::Rng rng(7);
+  Dense full(5, 3, rng);
+  auto first = full.clone();
+  Tensor x = Tensor::from({2, 5}, {1, 0, -2, 3, 0.5f, 0, 4, 1, -1, 2});
+  Tensor g = Tensor::from({2, 3}, {0.25f, -1, 2, 3, 0, -0.5f});
+  full.forward(x, true);
+  (void)full.backward(g);
+  first->forward(x, true);
+  first->backward_params(g);
+  const auto want = full.params();
+  const auto got = first->params();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(*got[i].grad, *want[i].grad) << want[i].name;
+  }
+}
+
 TEST(Dense, ParamsExposeWeightAndBias) {
   util::Rng rng(5);
   Dense layer(3, 4, rng);

@@ -12,10 +12,16 @@
 #include <vector>
 
 #include "nessa/quant/quantize.hpp"
+#include "nessa/util/cpu_isa.hpp"
 #include "nessa/util/rng.hpp"
 
 namespace nessa::quant {
 namespace {
+
+using util::KernelIsa;
+using util::best_kernel_isa;
+using util::kernel_isa_name;
+using util::kernel_isa_supported;
 
 std::vector<KernelIsa> supported_isas() {
   std::vector<KernelIsa> out;
