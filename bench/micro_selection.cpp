@@ -129,6 +129,19 @@ void BM_LazyGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_LazyGreedy)->ArgsProduct({{64, 256, 512, 1024}, {0, 1}});
 
+/// One CRAIG class as the craig-cifar10 workload sees it: about 1,000
+/// examples of 10-dimensional embeddings, 30% selected by serial lazy
+/// greedy (CELF) on a prebuilt similarity matrix.
+void BM_LazyGreedyCraig(benchmark::State& state) {
+  auto fl = selection::FacilityLocation::from_embeddings(
+      random_embeddings(1000, 10, 2));
+  for (auto _ : state) {
+    auto result = selection::lazy_greedy(fl, 300, false);
+    benchmark::DoNotOptimize(result.objective);
+  }
+}
+BENCHMARK(BM_LazyGreedyCraig);
+
 void BM_StochasticGreedy(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool parallel = state.range(1) != 0;

@@ -72,6 +72,10 @@ RunResult run_craig(const PipelineInputs& inputs, double subset_fraction,
   const std::size_t paper_k = detail::paper_count(inputs, subset_fraction);
   const double ratio = detail::scale_ratio(inputs);
 
+  // The driver stays serial on purpose: a pooled driver fans classes out
+  // (one n x n similarity matrix live per worker) and switches lazy greedy
+  // to batched refreshes, whose extra gain evaluations would change the
+  // priced selection cost.
   selection::DriverConfig driver;
   driver.greedy = selection::GreedyKind::kLazy;
   driver.per_class = true;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "nessa/tensor/ops.hpp"
+#include "nessa/util/thread_pool.hpp"
 
 namespace nessa::nn {
 
@@ -45,13 +46,14 @@ EmbeddingResult compute_embeddings(Sequential& model, const Tensor& inputs,
   }
   if (batch_size == 0) batch_size = n;
 
-  SoftmaxCrossEntropy loss_fn;
   EmbeddingResult result;
   result.losses.resize(n);
   result.preds.resize(n);
+  const std::size_t batches = n == 0 ? 0 : (n - 1) / batch_size + 1;
 
-  std::size_t classes = 0;
-  for (std::size_t start = 0; start < n; start += batch_size) {
+  // Scores batch b through `net`, writing only that batch's output rows.
+  const auto score = [&](Sequential& net, std::size_t b) {
+    const std::size_t start = b * batch_size;
     const std::size_t count = std::min(batch_size, n - start);
     Tensor batch({count, dim});
     std::copy_n(inputs.data() + start * dim, count * dim, batch.data());
@@ -59,17 +61,18 @@ EmbeddingResult compute_embeddings(Sequential& model, const Tensor& inputs,
     Tensor logits;
     Tensor penultimate;
     if (kind == EmbeddingKind::kScaledLogitGrad) {
-      auto fwd = forward_with_penultimate(model, batch);
+      auto fwd = forward_with_penultimate(net, batch);
       logits = std::move(fwd.logits);
       penultimate = std::move(fwd.penultimate);
     } else {
-      logits = model.forward(batch, /*train=*/false);
+      logits = net.forward(batch, /*train=*/false);
     }
-    if (classes == 0) {
-      classes = logits.cols();
+    const std::size_t classes = logits.cols();
+    if (result.embeddings.rank() != 2) {
       result.embeddings = Tensor({n, classes});
     }
 
+    const SoftmaxCrossEntropy loss_fn;
     auto loss = loss_fn.forward(logits, labels.subspan(start, count));
     auto preds = tensor::argmax_rows(loss.probs);
     for (std::size_t i = 0; i < count; ++i) {
@@ -88,7 +91,32 @@ EmbeddingResult compute_embeddings(Sequential& model, const Tensor& inputs,
         dst[c] = (probs[c] - onehot) * scale;
       }
     }
+  };
+
+  if (batches == 0) return result;
+  // The first batch fixes the embedding width, so it runs here.
+  score(model, 0);
+  auto& pool = util::ThreadPool::global();
+  if (batches < 3 || pool.size() < 2 ||
+      util::ThreadPool::in_parallel_region()) {
+    for (std::size_t b = 1; b < batches; ++b) score(model, b);
+    return result;
   }
+  // Forward caches activations, so concurrent batches cannot share a
+  // model: each slot scores every slots-th batch on its own clone, made
+  // here. A clone's forward is the model's bit for bit, and the GEMMs
+  // inside a pool task run unsplit, so the result equals the serial pass.
+  const std::size_t slots = std::min(pool.size(), batches - 1);
+  std::vector<Sequential> clones;
+  clones.reserve(slots);
+  for (std::size_t s = 0; s < slots; ++s) clones.push_back(model.clone());
+  pool.parallel_for_chunked(0, slots, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t s = lo; s < hi; ++s) {
+      for (std::size_t b = 1 + s; b < batches; b += slots) {
+        score(clones[s], b);
+      }
+    }
+  });
   return result;
 }
 

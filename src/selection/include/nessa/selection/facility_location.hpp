@@ -39,10 +39,10 @@ class FacilityLocation {
   /// non-negative; used by tests).
   static FacilityLocation from_similarity(Tensor similarity);
 
-  /// Parallel knob: when set, value()/add()/medoid_weights() dispatch their
-  /// reductions onto the global thread pool. Results are bit-identical to
-  /// the serial path for any thread count — reductions always use the same
-  /// fixed-grain block structure (see util::chunked_reduce). Accepts a
+  /// Parallel knob: when set, value()/add() dispatch their reductions onto
+  /// the global thread pool. Results are bit-identical to the serial path
+  /// for any thread count — reductions always use the same fixed-grain
+  /// block structure (see util::chunked_reduce). Accepts a
   /// util::Parallelism (or bool, via its implicit conversion).
   void set_parallel(util::Parallelism parallelism) noexcept {
     parallel_ = parallelism.enabled;
@@ -63,17 +63,33 @@ class FacilityLocation {
   [[nodiscard]] double value(std::span<const std::size_t> set) const;
 
   /// Incremental evaluation state for greedy maximization: coverage[i] is
-  /// the best similarity of i to the selected set so far.
+  /// the best similarity of i to the selected set so far, and owner[i] the
+  /// position in `selected` of the element that first reached it.
   struct State {
     std::vector<float> coverage;
+    std::vector<std::uint32_t> owner;
     std::vector<std::size_t> selected;
     double value = 0.0;
+
+    /// CRAIG medoid weights: gamma_p = |{i : owner[i] == p}|, one per
+    /// selected element; they sum to n. An element no selected element
+    /// covers above 0 counts for the first one. This is
+    /// argmax_{s in S} sim(i, s) with ties broken toward the
+    /// earliest-selected element, for non-NaN similarities.
+    [[nodiscard]] std::vector<std::size_t> medoid_weights() const;
   };
 
   [[nodiscard]] State empty_state() const;
 
   /// Marginal gain F(S + j) - F(S) given the coverage state. O(n).
+  /// Streams row j while prefetching row j + 1 (the next candidate of an
+  /// ascending scan).
   [[nodiscard]] double marginal_gain(const State& state, std::size_t j) const;
+
+  /// The same gain, prefetching row `next` instead: the candidate the
+  /// caller will evaluate after j. The hint never changes the result.
+  [[nodiscard]] double marginal_gain(const State& state, std::size_t j,
+                                     std::size_t next) const;
 
   /// Ground-set size at which batched gain evaluation switches to the
   /// column-tiled kernel: past ~4096 elements the coverage vector (16 KB+)
@@ -88,13 +104,8 @@ class FacilityLocation {
   void marginal_gains(const State& state, std::size_t j0, std::size_t j1,
                       double* out) const;
 
-  /// Add j to the state, updating coverage and value. O(n).
+  /// Add j to the state, updating coverage, owners and value. O(n).
   void add(State& state, std::size_t j) const;
-
-  /// CRAIG medoid weights: gamma_j = |{i : j = argmax_{s in S} sim(i, s)}|.
-  /// Ties break toward the earliest-selected element. Sum equals n.
-  [[nodiscard]] std::vector<std::size_t> medoid_weights(
-      std::span<const std::size_t> selected) const;
 
  private:
   FacilityLocation() = default;

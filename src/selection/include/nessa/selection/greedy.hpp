@@ -45,9 +45,9 @@ GreedyResult naive_greedy(const FacilityLocation& fl, std::size_t k,
                           util::Parallelism parallelism = false);
 
 /// Lazy (accelerated) greedy; output identical to naive_greedy. With
-/// parallel dispatch, stale heap entries are re-evaluated in batches across
-/// the pool (same selections; evaluation count may exceed the serial
-/// path's).
+/// parallel dispatch, stale heap entries are re-evaluated in batches of 16
+/// across the pool (same selections; the evaluation count may exceed the
+/// serial path's, but does not depend on the pool size).
 GreedyResult lazy_greedy(const FacilityLocation& fl, std::size_t k,
                          util::Parallelism parallelism = false);
 

@@ -212,23 +212,6 @@ void clamped_delta_accum(double* lane, const float* srow, const float* cov,
 #endif
 }
 
-/// Max over [lo, hi) of a non-negative buffer. Max is associative and
-/// commutative, so the lane split is exact — SSE2 and scalar paths agree
-/// bit for bit.
-float max_block(const float* v, std::size_t lo, std::size_t hi) noexcept {
-  float mx = 0.0f;
-  std::size_t i = lo;
-#if defined(__SSE2__)
-  __m128 mx4 = _mm_setzero_ps();
-  for (; i + 4 <= hi; i += 4) mx4 = _mm_max_ps(mx4, _mm_loadu_ps(v + i));
-  alignas(16) float lane[4];
-  _mm_store_ps(lane, mx4);
-  mx = std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
-#endif
-  for (; i < hi; ++i) mx = std::max(mx, v[i]);
-  return mx;
-}
-
 }  // namespace
 
 FacilityLocation FacilityLocation::from_embeddings(
@@ -238,20 +221,13 @@ FacilityLocation FacilityLocation::from_embeddings(
     throw std::invalid_argument(
         "FacilityLocation: embeddings must be non-empty rank 2");
   }
-  Tensor dists = tensor::pairwise_sq_dists(embeddings, parallel);
+  // c0 is the max pairwise distance, found by the distance pass itself.
+  float c0 = 0.0f;
+  Tensor dists = tensor::pairwise_sq_dists(embeddings, parallel,
+                                           util::best_kernel_isa(), &c0);
   const std::size_t n = dists.rows();
-  // c0 is the max pairwise distance. The diagonal is zero and distances are
-  // non-negative, so a single sweep over the flat buffer equals the old
-  // upper-triangle double loop; the sweep and the c0 - x rewrite both run
-  // as chunked passes over flat().
   float* flat = dists.flat().data();
   const std::size_t total = n * n;
-  const float c0 = util::chunked_reduce(
-      total, kReduceGrain, parallel, 0.0f,
-      [flat](std::size_t lo, std::size_t hi) {
-        return max_block(flat, lo, hi);
-      },
-      [](float a, float b) { return std::max(a, b); });
 
   auto& pool = util::ThreadPool::global();
   const auto rewrite = [flat, c0](std::size_t lo, std::size_t hi) {
@@ -325,20 +301,34 @@ FacilityLocation::State FacilityLocation::empty_state() const {
   // Coverage of the empty set is 0 per element (F(empty) = 0); similarities
   // are >= 0 so the first added element can only improve coverage.
   s.coverage.assign(n_, 0.0f);
+  s.owner.assign(n_, 0);
   return s;
+}
+
+std::vector<std::size_t> FacilityLocation::State::medoid_weights() const {
+  std::vector<std::size_t> weights(selected.size(), 0);
+  if (selected.empty()) return weights;
+  for (const std::uint32_t p : owner) ++weights[p];
+  return weights;
 }
 
 double FacilityLocation::marginal_gain(const State& state,
                                        std::size_t j) const {
-  if (j >= n_) throw std::out_of_range("marginal_gain: index out of range");
+  return marginal_gain(state, j, j + 1 < n_ ? j + 1 : j);
+}
+
+double FacilityLocation::marginal_gain(const State& state, std::size_t j,
+                                       std::size_t next) const {
+  if (j >= n_ || next >= n_) {
+    throw std::out_of_range("marginal_gain: index out of range");
+  }
   // sim_ is symmetric, so column j == row j; walk the row for locality.
   // No internal pool dispatch: the greedy drivers parallelize across
   // candidates, and the fixed lane structure keeps the value identical on
-  // every thread. The greedy argmax scans candidates in ascending order,
-  // so hint row j+1 (self for the last row — prefetch is only a hint).
+  // every thread.
   const float* srow = sim_.data() + j * n_;
-  const float* pf = (j + 1 < n_) ? srow + n_ : srow;
-  return clamped_delta_sum(srow, state.coverage.data(), pf, 0, n_);
+  return clamped_delta_sum(srow, state.coverage.data(), sim_.data() + next * n_,
+                           0, n_);
 }
 
 void FacilityLocation::marginal_gains(const State& state, std::size_t j0,
@@ -382,11 +372,18 @@ void FacilityLocation::add(State& state, std::size_t j) const {
   if (j >= n_) throw std::out_of_range("add: index out of range");
   const float* srow = sim_.data() + j * n_;
   float* cov = state.coverage.data();
+  std::uint32_t* owner = state.owner.data();
+  const auto pos = static_cast<std::uint32_t>(state.selected.size());
   const double gain = util::chunked_reduce(
       n_, kReduceGrain, parallel_, 0.0,
-      [srow, cov](std::size_t lo, std::size_t hi) {
+      [srow, cov, owner, pos](std::size_t lo, std::size_t hi) {
         const double g = clamped_delta_sum(srow, cov, srow, lo, hi);
+        // Ownership moves exactly where coverage strictly improves, so the
+        // earliest-selected of equally similar elements keeps it. The
+        // owner update is a mask blend so the loop vectorizes.
         for (std::size_t i = lo; i < hi; ++i) {
+          const std::uint32_t moved = 0u - std::uint32_t{srow[i] > cov[i]};
+          owner[i] = (owner[i] & ~moved) | (pos & moved);
           cov[i] = std::max(cov[i], srow[i]);
         }
         return g;
@@ -394,37 +391,6 @@ void FacilityLocation::add(State& state, std::size_t j) const {
       [](double a, double b) { return a + b; });
   state.value += gain;
   state.selected.push_back(j);
-}
-
-std::vector<std::size_t> FacilityLocation::medoid_weights(
-    std::span<const std::size_t> selected) const {
-  std::vector<std::size_t> weights(selected.size(), 0);
-  if (selected.empty()) return weights;
-  const float* sim = sim_.data();
-  const std::size_t n = n_;
-  return util::chunked_reduce(
-      n, kReduceGrain, parallel_, std::move(weights),
-      [sim, n, selected](std::size_t lo, std::size_t hi) {
-        std::vector<std::size_t> local(selected.size(), 0);
-        for (std::size_t i = lo; i < hi; ++i) {
-          const float* srow = sim + i * n;
-          std::size_t best_pos = 0;
-          float best = srow[selected[0]];
-          for (std::size_t p = 1; p < selected.size(); ++p) {
-            const float s = srow[selected[p]];
-            if (s > best) {
-              best = s;
-              best_pos = p;
-            }
-          }
-          ++local[best_pos];
-        }
-        return local;
-      },
-      [](std::vector<std::size_t> a, std::vector<std::size_t> b) {
-        for (std::size_t p = 0; p < a.size(); ++p) a[p] += b[p];
-        return a;
-      });
 }
 
 }  // namespace nessa::selection

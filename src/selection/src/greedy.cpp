@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
 
 #include "nessa/telemetry/telemetry.hpp"
@@ -19,14 +18,13 @@ namespace {
 /// flight. Fixed (not thread-count-derived) for deterministic reduction.
 constexpr std::size_t kCandidateGrain = 16;
 
-GreedyResult finish(const FacilityLocation& fl,
-                    FacilityLocation::State state,
+GreedyResult finish(FacilityLocation::State state,
                     std::size_t gain_evaluations) {
   GreedyResult out;
+  out.weights = state.medoid_weights();
   out.selected = std::move(state.selected);
   out.objective = state.value;
   out.gain_evaluations = gain_evaluations;
-  out.weights = fl.medoid_weights(out.selected);
   telemetry::count("selection.greedy.rounds", out.selected.size());
   telemetry::count("selection.greedy.gain_evaluations", gain_evaluations);
   return out;
@@ -88,6 +86,46 @@ util::BestGain best_candidate(const FacilityLocation& fl,
       util::better_gain);
 }
 
+/// A lazy-greedy heap entry: a marginal gain computed when |S| was `stamp`.
+struct HeapEntry {
+  double gain;
+  std::size_t index;
+  std::size_t stamp;
+};
+
+/// Heap comparator: a ranks below b (smaller gain; on equal gains, the
+/// larger index, so ties go to the smaller one).
+bool lower_priority(const HeapEntry& a, const HeapEntry& b) {
+  if (a.gain != b.gain) return a.gain < b.gain;
+  return a.index > b.index;
+}
+
+/// The higher-priority child of heap position `pos`, or heap.size() if it
+/// has none.
+std::size_t larger_child(const std::vector<HeapEntry>& heap,
+                         std::size_t pos) {
+  const std::size_t left = 2 * pos + 1;
+  if (left >= heap.size()) return heap.size();
+  const std::size_t right = left + 1;
+  return right < heap.size() && lower_priority(heap[left], heap[right])
+             ? right
+             : left;
+}
+
+/// Restore the heap after its root lost priority.
+void sift_down(std::vector<HeapEntry>& heap) {
+  if (heap.empty()) return;
+  const HeapEntry moving = heap[0];
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t child = larger_child(heap, pos);
+    if (child >= heap.size() || !lower_priority(moving, heap[child])) break;
+    heap[pos] = heap[child];
+    pos = child;
+  }
+  heap[pos] = moving;
+}
+
 }  // namespace
 
 GreedyResult naive_greedy(const FacilityLocation& fl, std::size_t k,
@@ -108,7 +146,7 @@ GreedyResult naive_greedy(const FacilityLocation& fl, std::size_t k,
     in_set[best.index] = true;
     rounds.note_round();
   }
-  return finish(fl, std::move(state), evals);
+  return finish(std::move(state), evals);
 }
 
 GreedyResult lazy_greedy(const FacilityLocation& fl, std::size_t k,
@@ -119,19 +157,12 @@ GreedyResult lazy_greedy(const FacilityLocation& fl, std::size_t k,
   auto state = fl.empty_state();
   std::size_t evals = 0;
 
-  struct Entry {
-    double gain;
-    std::size_t index;
-    std::size_t stamp;  ///< |S| when the gain was computed
-    bool operator<(const Entry& other) const {
-      if (gain != other.gain) return gain < other.gain;
-      return index > other.index;  // deterministic tie-break: smaller first
-    }
-  };
-  std::priority_queue<Entry> heap;
+  // One flat max-heap of (possibly stale) gains. Indices are unique, so
+  // (gain, then smaller index) is a total order: the root, and the larger
+  // of its children, are the same whatever the heap's layout.
+  std::vector<HeapEntry> heap(n);
   {
     // Initial gains are independent of each other — evaluate as one batch.
-    std::vector<Entry> init(n);
     auto& pool = util::ThreadPool::global();
     const auto fill = [&](std::size_t lo, std::size_t hi) {
       // Batched evaluation (tiled for large n); sub-blocked because the
@@ -140,7 +171,7 @@ GreedyResult lazy_greedy(const FacilityLocation& fl, std::size_t k,
       for (std::size_t b = lo; b < hi; b += kCandidateGrain) {
         const std::size_t e = std::min(hi, b + kCandidateGrain);
         fl.marginal_gains(state, b, e, gains);
-        for (std::size_t j = b; j < e; ++j) init[j] = {gains[j - b], j, 0};
+        for (std::size_t j = b; j < e; ++j) heap[j] = {gains[j - b], j, 0};
       }
     };
     if (parallel && pool.size() > 1) {
@@ -148,51 +179,60 @@ GreedyResult lazy_greedy(const FacilityLocation& fl, std::size_t k,
     } else {
       fill(0, n);
     }
-    for (auto& e : init) heap.push(e);
+    std::make_heap(heap.begin(), heap.end(), lower_priority);
     evals += n;
   }
 
-  // Parallel mode pulls up to `batch` stale entries per round and
-  // re-evaluates them together; their refreshed (exact) gains re-enter the
-  // heap, so the popped fresh top is the true argmax — the selected
-  // sequence matches the serial path bit for bit, only the evaluation
-  // count differs.
-  const std::size_t batch =
-      parallel ? std::max<std::size_t>(2 * util::ThreadPool::global().size(),
-                                       kCandidateGrain)
-               : 1;
-  std::vector<Entry> stale;
   RoundTimer rounds;
-  while (state.selected.size() < k && !heap.empty()) {
-    Entry top = heap.top();
-    heap.pop();
-    if (top.stamp == state.selected.size()) {
-      fl.add(state, top.index);
-      rounds.note_round();
-      continue;
-    }
-    if (!parallel) {
-      top.gain = fl.marginal_gain(state, top.index);
-      ++evals;
-      top.stamp = state.selected.size();
-      // Submodularity: a fresh gain that still dominates the heap top is
-      // globally optimal this round.
-      if (heap.empty() ||
-          top.gain > heap.top().gain ||
-          (top.gain == heap.top().gain && top.index < heap.top().index)) {
-        fl.add(state, top.index);
-        rounds.note_round();
-      } else {
-        heap.push(top);
+  const auto select_root = [&] {
+    fl.add(state, heap[0].index);
+    heap[0] = heap.back();
+    heap.pop_back();
+    sift_down(heap);
+    rounds.note_round();
+  };
+  if (!parallel) {
+    // CELF: re-evaluate a stale root in place. If its fresh gain still
+    // beats the larger child (the best of the rest), submodularity makes
+    // it this round's argmax; otherwise it sinks and the child, whose row
+    // was prefetched during the evaluation, becomes the next root.
+    while (state.selected.size() < k && !heap.empty()) {
+      HeapEntry& top = heap[0];
+      if (top.stamp != state.selected.size()) {
+        const std::size_t child = larger_child(heap, 0);
+        const bool has_child = child < heap.size();
+        top.gain = fl.marginal_gain(state, top.index,
+                                    has_child ? heap[child].index : top.index);
+        ++evals;
+        top.stamp = state.selected.size();
+        if (has_child && lower_priority(top, heap[child])) {
+          sift_down(heap);
+          continue;
+        }
       }
+      select_root();
+    }
+    return finish(std::move(state), evals);
+  }
+
+  // Parallel mode pulls up to kCandidateGrain stale entries per round and
+  // re-evaluates them together; their refreshed (exact) gains re-enter the
+  // heap, so the fresh root is the true argmax — the selected sequence
+  // matches the serial path bit for bit, only the evaluation count
+  // differs. The batch is fixed, so that count is the same for any pool
+  // size.
+  std::vector<HeapEntry> stale;
+  while (state.selected.size() < k && !heap.empty()) {
+    if (heap[0].stamp == state.selected.size()) {
+      select_root();
       continue;
     }
     stale.clear();
-    stale.push_back(top);
-    while (stale.size() < batch && !heap.empty() &&
-           heap.top().stamp != state.selected.size()) {
-      stale.push_back(heap.top());
-      heap.pop();
+    while (stale.size() < kCandidateGrain && !heap.empty() &&
+           heap[0].stamp != state.selected.size()) {
+      std::pop_heap(heap.begin(), heap.end(), lower_priority);
+      stale.push_back(heap.back());
+      heap.pop_back();
     }
     auto& pool = util::ThreadPool::global();
     const auto refresh = [&](std::size_t lo, std::size_t hi) {
@@ -207,9 +247,12 @@ GreedyResult lazy_greedy(const FacilityLocation& fl, std::size_t k,
       refresh(0, stale.size());
     }
     evals += stale.size();
-    for (const auto& e : stale) heap.push(e);
+    for (const auto& e : stale) {
+      heap.push_back(e);
+      std::push_heap(heap.begin(), heap.end(), lower_priority);
+    }
   }
-  return finish(fl, std::move(state), evals);
+  return finish(std::move(state), evals);
 }
 
 GreedyResult stochastic_greedy(const FacilityLocation& fl, std::size_t k,
@@ -218,7 +261,7 @@ GreedyResult stochastic_greedy(const FacilityLocation& fl, std::size_t k,
   const bool parallel = parallelism.enabled;
   const std::size_t n = fl.ground_size();
   k = std::min(k, n);
-  if (k == 0) return finish(fl, fl.empty_state(), 0);
+  if (k == 0) return finish(fl.empty_state(), 0);
   if (epsilon <= 0.0 || epsilon >= 1.0) {
     throw std::invalid_argument("stochastic_greedy: epsilon must be in (0,1)");
   }
@@ -265,7 +308,7 @@ GreedyResult stochastic_greedy(const FacilityLocation& fl, std::size_t k,
     pool.pop_back();
     rounds.note_round();
   }
-  return finish(fl, std::move(state), evals);
+  return finish(std::move(state), evals);
 }
 
 }  // namespace nessa::selection

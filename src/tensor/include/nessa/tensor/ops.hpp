@@ -70,8 +70,13 @@ float l2_norm(std::span<const float> a) noexcept;
 /// Pairwise squared-L2 distance matrix between rows of X (m x d) -> (m x m).
 /// Uses the ||x||^2 + ||y||^2 - 2<x,y> expansion with the X*X^T cross term
 /// fused into the distance finalize (one pass per output row); clamps tiny
-/// negatives from cancellation to zero. The result is exactly symmetric and
-/// independent of `parallel` and the thread count.
-Tensor pairwise_sq_dists(const Tensor& x, bool parallel = true);
+/// negatives from cancellation (and NaNs) to zero and zeroes the diagonal.
+/// The result is exactly symmetric and independent of `parallel`, the
+/// thread count and the kernel set `isa` (AVX or the portable scalar
+/// kernel, picked like the GEMMs'). When `max_out` is non-null it receives
+/// the largest entry, found in the same pass.
+Tensor pairwise_sq_dists(const Tensor& x, bool parallel = true,
+                         util::KernelIsa isa = util::best_kernel_isa(),
+                         float* max_out = nullptr);
 
 }  // namespace nessa::tensor

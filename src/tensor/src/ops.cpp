@@ -116,6 +116,53 @@ void gemm_atb_rows(const float* a, const float* b, float* c, std::size_t r0,
   }
 }
 
+/// What the pairwise-distance kernels read: X (m x k), its transpose and
+/// the squared row norms.
+struct DistInputs {
+  const float* x;
+  const float* xt;
+  const float* sq;
+  std::size_t m, k;
+};
+
+/// Rows [r0, r1) of the pairwise distance matrix, each built with
+/// contiguous saxpy passes over X^T:
+///   d[i][j] = sq[i] + sq[j];  d[i][j] += (-2 x[i][t]) * x[j][t] for each t
+/// then clamped with std::max(0, d) (a NaN becomes 0) and the diagonal set
+/// to 0. row_max[i] receives the largest entry of row i. Gradient
+/// embeddings are short (k ~ 10s), so a per-pair dot product would be pure
+/// call overhead. d(i,j) == d(j,i) exactly: -2*a is exact in floating
+/// point, so the term sequences are bit-identical either way. Rows of m >=
+/// kDistTileMinCols run column-tiled: each drow slice receives all its k
+/// terms while L1-resident instead of the whole row streaming through cache
+/// once per embedding dimension; per element the term order is unchanged.
+void sq_dist_rows(const DistInputs& in, std::size_t r0, std::size_t r1,
+                  float* d, float* row_max) {
+  const std::size_t m = in.m, k = in.k;
+  const std::size_t jtile = m >= kDistTileMinCols ? kDistColTile : m;
+  for (std::size_t i = r0; i < r1; ++i) {
+    const float* arow = in.x + i * k;
+    float* drow = d + i * m;
+    const float sqi = in.sq[i];
+    for (std::size_t j0 = 0; j0 < m; j0 += jtile) {
+      const std::size_t j1 = std::min(m, j0 + jtile);
+      for (std::size_t j = j0; j < j1; ++j) drow[j] = sqi + in.sq[j];
+      for (std::size_t t = 0; t < k; ++t) {
+        const float av = -2.0f * arow[t];
+        const float* xtrow = in.xt + t * m;
+        for (std::size_t j = j0; j < j1; ++j) drow[j] += av * xtrow[j];
+      }
+      for (std::size_t j = j0; j < j1; ++j) {
+        drow[j] = std::max(0.0f, drow[j]);
+      }
+    }
+    drow[i] = 0.0f;
+    float mx = 0.0f;
+    for (std::size_t j = 0; j < m; ++j) mx = std::max(mx, drow[j]);
+    row_max[i] = mx;
+  }
+}
+
 // ---- AVX kernels -----------------------------------------------------------
 //
 // Each reproduces the scalar kernel above bit for bit. An output element
@@ -156,16 +203,22 @@ __attribute__((target("avx"))) inline void axpy_tile_avx(
   }
 }
 
+/// A mask enabling the first `cols` (< 8) lanes, for the last n % 8
+/// columns' masked loads and stores.
+__attribute__((target("avx"))) inline __m256i tail_mask(std::size_t cols) {
+  static constexpr std::int32_t kMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                             0,  0,  0,  0,  0,  0,  0,  0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kMask + 8 - cols));
+}
+
 /// The last n % 8 columns, through masked loads and stores.
 __attribute__((target("avx"))) void axpy_tail_avx(const Term* terms,
                                                   std::size_t count,
                                                   std::size_t j,
                                                   std::size_t cols,
                                                   float* crow) {
-  static constexpr std::int32_t kMask[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                             0,  0,  0,  0,  0,  0,  0,  0};
-  const __m256i mask = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kMask + 8 - cols));
+  const __m256i mask = tail_mask(cols);
   __m256 acc = _mm256_setzero_ps();
   for (std::size_t t = 0; t < count; ++t) {
     acc = _mm256_add_ps(
@@ -319,6 +372,104 @@ __attribute__((target("avx"))) void gemm_abt_rows_avx(
   }
 }
 
+/// Columns [j, j + 8 * NV) of one distance row, all NV vectors held in
+/// registers across the k terms; `av` holds the row's -2 x[i][t]. Adds the
+/// clamped values into the running max `mx`.
+template <std::size_t NV>
+__attribute__((target("avx"))) inline __m256 dist_tile_avx(
+    const DistInputs& in, const float* av, __m256 sqi, std::size_t j,
+    float* drow, __m256 mx) {
+  __m256 acc[NV];
+  for (std::size_t v = 0; v < NV; ++v) {
+    acc[v] = _mm256_add_ps(sqi, _mm256_loadu_ps(in.sq + j + 8 * v));
+  }
+  for (std::size_t t = 0; t < in.k; ++t) {
+    const __m256 a = _mm256_set1_ps(av[t]);
+    const float* xtrow = in.xt + t * in.m + j;
+    for (std::size_t v = 0; v < NV; ++v) {
+      acc[v] = _mm256_add_ps(acc[v],
+                             _mm256_mul_ps(a, _mm256_loadu_ps(xtrow + 8 * v)));
+    }
+  }
+  // max(v, 0) returns its second operand when v is NaN, as std::max(0, v)
+  // does.
+  const __m256 zero = _mm256_setzero_ps();
+  for (std::size_t v = 0; v < NV; ++v) {
+    acc[v] = _mm256_max_ps(acc[v], zero);
+    _mm256_storeu_ps(drow + j + 8 * v, acc[v]);
+    mx = _mm256_max_ps(mx, acc[v]);
+  }
+  return mx;
+}
+
+/// The last `cols` (< 8) columns of a span, through masked loads and stores;
+/// the masked-off lanes are zeroed before they reach the max.
+__attribute__((target("avx"))) __m256 dist_tail_avx(
+    const DistInputs& in, const float* av, __m256 sqi, std::size_t j,
+    std::size_t cols, float* drow, __m256 mx) {
+  const __m256i mask = tail_mask(cols);
+  __m256 acc = _mm256_add_ps(sqi, _mm256_maskload_ps(in.sq + j, mask));
+  for (std::size_t t = 0; t < in.k; ++t) {
+    acc = _mm256_add_ps(
+        acc, _mm256_mul_ps(_mm256_set1_ps(av[t]),
+                           _mm256_maskload_ps(in.xt + t * in.m + j, mask)));
+  }
+  acc = _mm256_and_ps(_mm256_max_ps(acc, _mm256_setzero_ps()),
+                      _mm256_castsi256_ps(mask));
+  _mm256_maskstore_ps(drow + j, mask, acc);
+  return _mm256_max_ps(mx, acc);
+}
+
+/// Columns [j0, j1) of one distance row.
+__attribute__((target("avx"))) __m256 dist_span_avx(
+    const DistInputs& in, const float* av, __m256 sqi, std::size_t j0,
+    std::size_t j1, float* drow, __m256 mx) {
+  std::size_t j = j0;
+  for (; j + 64 <= j1; j += 64) mx = dist_tile_avx<8>(in, av, sqi, j, drow, mx);
+  switch ((j1 - j) / 8) {
+    case 7: mx = dist_tile_avx<7>(in, av, sqi, j, drow, mx); break;
+    case 6: mx = dist_tile_avx<6>(in, av, sqi, j, drow, mx); break;
+    case 5: mx = dist_tile_avx<5>(in, av, sqi, j, drow, mx); break;
+    case 4: mx = dist_tile_avx<4>(in, av, sqi, j, drow, mx); break;
+    case 3: mx = dist_tile_avx<3>(in, av, sqi, j, drow, mx); break;
+    case 2: mx = dist_tile_avx<2>(in, av, sqi, j, drow, mx); break;
+    case 1: mx = dist_tile_avx<1>(in, av, sqi, j, drow, mx); break;
+    default: break;
+  }
+  j += (j1 - j) / 8 * 8;
+  if (j < j1) mx = dist_tail_avx(in, av, sqi, j, j1 - j, drow, mx);
+  return mx;
+}
+
+/// sq_dist_rows with each output element finished in registers: the same
+/// sqi + sq[j] start and the same k multiply-then-add terms in ascending t,
+/// so every element, and each row's max, match the scalar kernel bit for
+/// bit whether or not it column-tiles. The diagonal is skipped (it is set
+/// to 0), which splits each row into two spans.
+__attribute__((target("avx"))) void sq_dist_rows_avx(const DistInputs& in,
+                                                     std::size_t r0,
+                                                     std::size_t r1, float* d,
+                                                     float* row_max) {
+  const std::size_t m = in.m, k = in.k;
+  std::vector<float> av(k);
+  for (std::size_t i = r0; i < r1; ++i) {
+    for (std::size_t t = 0; t < k; ++t) av[t] = -2.0f * in.x[i * k + t];
+    const __m256 sqi = _mm256_set1_ps(in.sq[i]);
+    float* drow = d + i * m;
+    __m256 mx = _mm256_setzero_ps();
+    mx = dist_span_avx(in, av.data(), sqi, 0, i, drow, mx);
+    mx = dist_span_avx(in, av.data(), sqi, i + 1, m, drow, mx);
+    drow[i] = 0.0f;
+    // Max is exact in any order over these non-NaN values.
+    const __m128 half = _mm_max_ps(_mm256_castps256_ps128(mx),
+                                   _mm256_extractf128_ps(mx, 1));
+    alignas(16) float lanes[4];
+    _mm_store_ps(lanes, half);
+    row_max[i] = std::max(std::max(lanes[0], lanes[1]),
+                          std::max(lanes[2], lanes[3]));
+  }
+}
+
 #endif  // NESSA_AVX_DISPATCH
 
 /// The float GEMM kernels for one instruction set.
@@ -331,18 +482,33 @@ struct GemmKernels {
               std::size_t, std::size_t);
 };
 
-GemmKernels gemm_kernels(KernelIsa isa) {
+void require_supported(KernelIsa isa) {
   if (!util::kernel_isa_supported(isa)) {
     throw std::invalid_argument(std::string("tensor: kernel set ") +
                                 util::kernel_isa_name(isa) +
                                 " is not supported on this CPU");
   }
+}
+
+GemmKernels gemm_kernels(KernelIsa isa) {
+  require_supported(isa);
 #if defined(NESSA_AVX_DISPATCH)
   if (isa >= KernelIsa::kAvx) {
     return {gemm_rows_avx, gemm_atb_rows_avx, gemm_abt_rows_avx};
   }
 #endif
   return {gemm_rows, gemm_atb_rows, gemm_abt_rows};
+}
+
+using SqDistKernel = void (*)(const DistInputs&, std::size_t, std::size_t,
+                              float*, float*);
+
+SqDistKernel sq_dist_kernel(KernelIsa isa) {
+  require_supported(isa);
+#if defined(NESSA_AVX_DISPATCH)
+  if (isa >= KernelIsa::kAvx) return sq_dist_rows_avx;
+#endif
+  return sq_dist_rows;
 }
 
 void run_row_blocks(std::size_t m, std::size_t flops, bool parallel,
@@ -533,61 +699,32 @@ float l2_norm(std::span<const float> a) noexcept {
   return static_cast<float>(std::sqrt(acc));
 }
 
-Tensor pairwise_sq_dists(const Tensor& x, bool parallel) {
+Tensor pairwise_sq_dists(const Tensor& x, bool parallel, KernelIsa isa,
+                         float* max_out) {
   require_rank2(x, "pairwise_sq_dists");
+  const auto kernel = sq_dist_kernel(isa);
   const std::size_t m = x.rows(), k = x.cols();
   std::vector<float> sq(m);
   for (std::size_t i = 0; i < m; ++i) {
     sq[i] = dot_lanes(x.data() + i * k, x.data() + i * k, k);
   }
-  // Each output row is built with contiguous saxpy passes over X^T:
-  //   d[i][j] = sq[i] + sq[j];  d[i][j] += (-2 x[i][t]) * x[j][t] for each t
-  // Gradient embeddings are short (k ~ 10s), so a per-pair dot product is
-  // pure call overhead; the saxpy form streams whole rows through SIMD
-  // units instead. Every row is produced independently with a fixed
-  // accumulation order, so the result does not depend on the row chunking,
-  // and d(i,j) == d(j,i) exactly: -2*a is exact in floating point, so the
-  // term sequences are bit-identical either way.
-  std::vector<float> xt(k * m);  // X^T, so the inner saxpy loop is unit-stride
+  std::vector<float> xt(k * m);  // X^T, so the inner loops are unit-stride
   for (std::size_t j = 0; j < m; ++j) {
     const float* row = x.data() + j * k;
     for (std::size_t t = 0; t < k; ++t) xt[t * m + j] = row[t];
   }
   Tensor d({m, m});
+  std::vector<float> row_max(m);
   run_row_blocks(m, m * m * (k + 2), parallel,
                  [&](std::size_t r0, std::size_t r1) {
-                   const float* sqv = sq.data();
-                   // Large rows run column-tiled: each drow slice receives
-                   // all its k saxpy terms while L1-resident instead of the
-                   // whole row streaming through cache once per embedding
-                   // dimension. Per element the t-accumulation order is the
-                   // loop-interchange of the untiled kernel with identical
-                   // term order, so the result is bit-identical.
-                   const std::size_t jtile =
-                       m >= kDistTileMinCols ? kDistColTile : m;
-                   for (std::size_t i = r0; i < r1; ++i) {
-                     const float* arow = x.data() + i * k;
-                     float* drow = d.data() + i * m;
-                     const float sqi = sqv[i];
-                     for (std::size_t j0 = 0; j0 < m; j0 += jtile) {
-                       const std::size_t j1 = std::min(m, j0 + jtile);
-                       for (std::size_t j = j0; j < j1; ++j) {
-                         drow[j] = sqi + sqv[j];
-                       }
-                       for (std::size_t t = 0; t < k; ++t) {
-                         const float av = -2.0f * arow[t];
-                         const float* xtrow = xt.data() + t * m;
-                         for (std::size_t j = j0; j < j1; ++j) {
-                           drow[j] += av * xtrow[j];
-                         }
-                       }
-                       for (std::size_t j = j0; j < j1; ++j) {
-                         drow[j] = std::max(0.0f, drow[j]);
-                       }
-                     }
-                     drow[i] = 0.0f;
-                   }
+                   kernel({x.data(), xt.data(), sq.data(), m, k}, r0, r1,
+                          d.data(), row_max.data());
                  });
+  if (max_out != nullptr) {
+    float mx = 0.0f;
+    for (float v : row_max) mx = std::max(mx, v);
+    *max_out = mx;
+  }
   return d;
 }
 

@@ -1,7 +1,7 @@
 // Training's float GEMMs split their rows over the global thread pool, and
-// NeSSA's scan and CRAIG's selection run on it too. Every output element is
-// summed in one fixed order whatever the split, so a run on the pool must
-// equal the same run on one thread bit for bit. CTest reruns this suite
+// NeSSA's scan and CRAIG's embedding pass and selection run on it too.
+// Every output element is summed in one fixed order whatever the split, so
+// a run on the pool must equal the same run on one thread bit for bit. CTest reruns this suite
 // with NESSA_THREADS at 1, 2 and 4 to cover those pool sizes.
 #include <gtest/gtest.h>
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nessa/tensor/ops.hpp"
+#include "nessa/util/thread_pool.hpp"
 
 namespace nessa::nn {
 namespace {
@@ -74,6 +76,41 @@ TEST(Embedding, BatchedMatchesSingleShot) {
   for (std::size_t i = 0; i < 33; ++i) {
     EXPECT_NEAR(big.losses[i], small.losses[i], 1e-5f);
     EXPECT_EQ(big.preds[i], small.preds[i]);
+  }
+}
+
+TEST(Embedding, PooledPassEqualsSerialBitForBit) {
+  // The workload MLP's widths; 1000 rows leave a ragged last batch at both
+  // batch sizes (the default 32 and 256). From inside a pool task the pass runs its batches in order
+  // on one model, the serial reference; called directly it runs them on
+  // the pool through clones, while the serial pass's GEMMs split instead.
+  util::Rng rng(8);
+  auto model = Sequential::mlp({74, 384, 192, 10}, rng, 0.1f);
+  const Tensor x = Tensor::randn({1000, 74}, 1.0f, rng);
+  std::vector<Label> y(1000);
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<Label>(i % 10);
+  auto& pool = util::ThreadPool::global();
+  for (const auto kind :
+       {EmbeddingKind::kLogitGrad, EmbeddingKind::kScaledLogitGrad}) {
+    for (const std::size_t batch : {std::size_t{32}, std::size_t{256}}) {
+      EmbeddingResult serial;
+      pool.parallel_for_chunked(0, 2, 1, [&](std::size_t lo, std::size_t) {
+        if (lo != 0) return;
+        EXPECT_TRUE(pool.size() == 1 || util::ThreadPool::in_parallel_region());
+        serial = compute_embeddings(model, x, y, kind, batch);
+      });
+      const auto pooled = compute_embeddings(model, x, y, kind, batch);
+      ASSERT_EQ(pooled.embeddings.shape(), serial.embeddings.shape());
+      EXPECT_EQ(std::memcmp(pooled.embeddings.data(), serial.embeddings.data(),
+                            serial.embeddings.size() * sizeof(float)),
+                0)
+          << "batch " << batch;
+      EXPECT_EQ(std::memcmp(pooled.losses.data(), serial.losses.data(),
+                            serial.losses.size() * sizeof(float)),
+                0)
+          << "batch " << batch;
+      EXPECT_EQ(pooled.preds, serial.preds) << "batch " << batch;
+    }
   }
 }
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
+#include "../support/medoid_oracle.hpp"
+#include "nessa/selection/greedy.hpp"
 #include "nessa/util/rng.hpp"
 
 namespace nessa::selection {
@@ -103,7 +106,7 @@ TEST(FacilityLocation, MedoidWeightsSumToGroundSize) {
   util::Rng rng(8);
   auto fl = FacilityLocation::from_embeddings(random_embeddings(30, 4, rng));
   std::vector<std::size_t> selected{1, 5, 20};
-  auto weights = fl.medoid_weights(selected);
+  auto weights = owner_weights(fl, selected);
   ASSERT_EQ(weights.size(), 3u);
   EXPECT_EQ(std::accumulate(weights.begin(), weights.end(), std::size_t{0}),
             30u);
@@ -113,8 +116,45 @@ TEST(FacilityLocation, SingleMedoidCoversEverything) {
   util::Rng rng(9);
   auto fl = FacilityLocation::from_embeddings(random_embeddings(9, 3, rng));
   std::vector<std::size_t> selected{2};
-  auto weights = fl.medoid_weights(selected);
+  auto weights = owner_weights(fl, selected);
   EXPECT_EQ(weights[0], 9u);
+}
+
+TEST(FacilityLocation, OwnerWeightsMatchMedoidOracle) {
+  // Every row appears three times, and the grid values make many distinct
+  // rows equally far apart, so most elements tie between several selected
+  // elements: the owners must give each tie to the earliest-selected one.
+  util::Rng rng(10);
+  Tensor emb({90, 3});
+  for (std::size_t i = 0; i < 30; ++i) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      emb(i, c) = static_cast<float>(rng.uniform_int(3));
+    }
+  }
+  for (std::size_t i = 30; i < 90; ++i) {
+    for (std::size_t c = 0; c < 3; ++c) emb(i, c) = emb(i % 30, c);
+  }
+  for (const bool parallel : {false, true}) {
+    const auto fl = FacilityLocation::from_embeddings(emb, parallel);
+    for (std::size_t trial = 0; trial < 20; ++trial) {
+      std::vector<std::size_t> selected;
+      const std::size_t size = 1 + rng.uniform_int(12);
+      while (selected.size() < size) {
+        const std::size_t j = rng.uniform_int(90);
+        if (std::find(selected.begin(), selected.end(), j) == selected.end()) {
+          selected.push_back(j);
+        }
+      }
+      EXPECT_EQ(owner_weights(fl, selected),
+                medoid_weights_oracle(fl, selected))
+          << "trial " << trial;
+    }
+    // And through a greedy run, which selects duplicates' first copies.
+    for (const std::size_t k : {1, 5, 20, 90}) {
+      const GreedyResult r = lazy_greedy(fl, k, parallel);
+      EXPECT_EQ(r.weights, medoid_weights_oracle(fl, r.selected)) << k;
+    }
+  }
 }
 
 TEST(FacilityLocation, FromSimilarityValidates) {
